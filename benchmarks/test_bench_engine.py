@@ -31,7 +31,7 @@ def _threshold() -> float:
 
 def test_bench_engine_macro(benchmark):
     baseline = load_baseline(BASELINE_PATH)
-    workload = baseline.get("workload") or baseline["engine"]["workload"]
+    workload = baseline["engine"]["workload"]
     result = bench_once(benchmark, run_engine_benchmark, **workload)
     benchmark.extra_info.update(result.to_dict())
     assert result.completed

@@ -1,4 +1,4 @@
-"""Parallel-execution-layer benchmarks (DESIGN.md §12, BENCH_PR5.json).
+"""Parallel-execution-layer benchmarks (DESIGN.md §12, BENCH_HISTORY.json).
 
 Two contracts from the scenario pool, mirroring the perf-smoke split:
 

@@ -7,10 +7,10 @@ how fast the *simulator* chews through it: events per wall-clock
 second, wall-clock seconds per simulated second, and the event-heap
 high-water mark.
 
-``BENCH_PR3.json`` at the repository root records these numbers before
-and after the engine fast-path work, and :func:`check_regression`
-compares a fresh run against the committed "after" baseline (CI's
-perf-smoke job).  The comparison splits into two kinds of checks:
+``BENCH_HISTORY.json`` at the repository root records these numbers
+for each engine change, and :func:`check_regression` compares a fresh
+run against that trajectory (CI's perf-smoke job).  The comparison
+splits into two kinds of checks:
 
 * simulation *results* (event count, simulated duration, application
   throughput, heap high-water mark) are deterministic and must match
@@ -19,11 +19,11 @@ perf-smoke job).  The comparison splits into two kinds of checks:
 * wall-clock figures are machine-dependent and only gate on a relative
   threshold (default: fail when events/sec drops more than 30 %).
 
-PR 5 adds batch-level throughput on top of the single-simulation
-figures: :func:`run_scaling_benchmark` pushes a mixed batch of seeded
-fuzz scenarios through the :mod:`repro.runtime` process pool at several
+Batch-level throughput sits on top of the single-simulation figures:
+:func:`run_scaling_benchmark` pushes a mixed batch of seeded fuzz
+scenarios through the :mod:`repro.runtime` process pool at several
 ``--jobs`` levels and reports scenarios/sec plus parallel efficiency
-(``BENCH_PR5.json`` records the committed numbers), and
+(the ``scaling`` entries of ``BENCH_HISTORY.json``), and
 :func:`run_pooled_engine_medians` computes interleaved-run medians of
 the engine macro-benchmark from pooled workers pinned one per core.
 Both carry the same split: batch fingerprints are deterministic and
@@ -113,7 +113,7 @@ def run_engine_benchmark(
 
 
 def load_baseline(path: str | Path) -> dict:
-    """Load a ``BENCH_PR3.json``- or ``BENCH_HISTORY.json``-style file."""
+    """Load a ``BENCH_HISTORY.json``-style file."""
     with open(path) as f:
         return json.load(f)
 
@@ -125,23 +125,17 @@ load_history = load_baseline
 def baseline_records(baseline: dict) -> tuple[dict, dict]:
     """``(deterministic_base, speed_base)`` from a baseline file.
 
-    Old-style files (``BENCH_PR3.json``) carry one ``after`` record
-    that serves both purposes.  History-style files
-    (``BENCH_HISTORY.json``) carry the whole trajectory under
+    ``BENCH_HISTORY.json`` carries the whole trajectory under
     ``engine.entries``: deterministic fields gate against the *latest*
     entry (behaviour legitimately evolves across PRs — e.g. the event
     count changed when stale-timer pops started counting), while
     events/sec gates against the *best* committed entry so a PR can
     never quietly re-lose a previous PR's speedup.
     """
-    engine = baseline.get("engine")
-    if engine and "entries" in engine:
-        entries = engine["entries"]
-        det = entries[-1]
-        speed = max(entries, key=lambda e: e.get("events_per_sec") or 0.0)
-        return det, speed
-    base = baseline["after"]
-    return base, base
+    entries = baseline["engine"]["entries"]
+    det = entries[-1]
+    speed = max(entries, key=lambda e: e.get("events_per_sec") or 0.0)
+    return det, speed
 
 
 def check_regression(
@@ -151,9 +145,8 @@ def check_regression(
 ) -> list[str]:
     """Compare a fresh run against the committed baseline.
 
-    Accepts both the old single-PR baseline schema and the cumulative
-    ``BENCH_HISTORY.json`` trajectory (see :func:`baseline_records`).
-    Returns a list of human-readable problems (empty = pass).
+    The baseline is the cumulative ``BENCH_HISTORY.json`` trajectory
+    (see :func:`baseline_records`).  Returns a list of human-readable problems (empty = pass).
     """
     problems: list[str] = []
     base, speed_base = baseline_records(baseline)
@@ -415,95 +408,6 @@ def run_pooled_engine_medians(
     }
 
 
-# -- scheduler differential (PR 10: timer wheel vs heap) ---------------------
-
-
-def compare_schedulers(runs: int = 5, **workload) -> dict:
-    """Run the engine macro-benchmark under both schedulers, interleaved.
-
-    The hard gate is *fingerprint equality*: every deterministic field
-    must be byte-identical between the wheel and the heap — they are
-    two implementations of one event schedule.  The wall-clock ratio is
-    informational (see DESIGN.md §16: CPython's C ``heapq`` keeps the
-    heap at rough parity with the pure-Python wheel, so the ratio
-    hovers around 1.0 rather than the textbook wheel win).
-    """
-    import repro.netsim.simulator  # noqa: F401 — fail fast before mutating env
-
-    samples: dict[str, list[EnginePerfResult]] = {"heap": [], "wheel": []}
-    saved = os.environ.get("REPRO_SCHEDULER")
-    try:
-        for _ in range(runs):
-            for scheduler in ("heap", "wheel"):
-                os.environ["REPRO_SCHEDULER"] = scheduler
-                samples[scheduler].append(run_engine_benchmark(**workload))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = saved
-
-    def deterministic(results: list[EnginePerfResult]) -> dict:
-        first = {f: getattr(results[0], f) for f in _ENGINE_DETERMINISTIC_FIELDS}
-        for r in results[1:]:
-            for f in _ENGINE_DETERMINISTIC_FIELDS:
-                if getattr(r, f) != first[f]:
-                    raise RuntimeError(
-                        f"deterministic field {f!r} drifted between "
-                        f"repetitions of one scheduler: {first[f]!r} vs "
-                        f"{getattr(r, f)!r}"
-                    )
-        return first
-
-    report = {
-        "workload": dict(workload),
-        "runs": runs,
-        "schedulers": {
-            name: {
-                "deterministic": deterministic(rs),
-                "median_events_per_sec": round(
-                    statistics.median(r.events_per_sec for r in rs), 1
-                ),
-                "median_wall_seconds": round(
-                    statistics.median(r.wall_seconds for r in rs), 4
-                ),
-            }
-            for name, rs in samples.items()
-        },
-    }
-    heap_evs = report["schedulers"]["heap"]["median_events_per_sec"]
-    wheel_evs = report["schedulers"]["wheel"]["median_events_per_sec"]
-    report["wheel_over_heap"] = round(wheel_evs / heap_evs, 3) if heap_evs else 0.0
-    return report
-
-
-def check_scheduler_parity(report: dict, min_ratio: float = 0.85) -> list[str]:
-    """CI gate for :func:`compare_schedulers`; returns problems.
-
-    Fingerprint equality is unconditional.  The events/sec ratio gates
-    at ``min_ratio`` — a *parity guard* against the wheel silently
-    rotting, not a claimed speedup (DESIGN.md §16 records why the
-    original ≥1.3x target is not reachable in pure Python against the
-    C ``heapq``).
-    """
-    problems: list[str] = []
-    heap = report["schedulers"]["heap"]["deterministic"]
-    wheel = report["schedulers"]["wheel"]["deterministic"]
-    for f in _ENGINE_DETERMINISTIC_FIELDS:
-        if heap[f] != wheel[f]:
-            problems.append(
-                f"scheduler fingerprints diverge: {f} = {wheel[f]!r} (wheel) "
-                f"vs {heap[f]!r} (heap)"
-            )
-    ratio = report["wheel_over_heap"]
-    if ratio < min_ratio:
-        problems.append(
-            f"wheel/heap events-per-sec ratio {ratio:.3f} below the "
-            f"{min_ratio:.2f} parity guard"
-        )
-    return problems
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.metrics.perf",
@@ -525,16 +429,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         metavar="DIR",
         help="profile one engine run: event-class histogram + cProfile "
         "artifacts into DIR (default ./perf-profile)",
-    )
-    parser.add_argument(
-        "--compare-schedulers", action="store_true",
-        help="run the engine benchmark under wheel AND heap schedulers, "
-        "gate fingerprint equality, report the speed ratio",
-    )
-    parser.add_argument(
-        "--min-ratio", type=float, default=0.85, metavar="R",
-        help="wheel/heap events-per-sec parity guard for "
-        "--compare-schedulers --check (default 0.85)",
     )
     parser.add_argument(
         "--baseline", type=Path, default=None, metavar="PATH",
@@ -564,38 +458,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         report = profile_engine(out_dir=args.profile)
         print(report.render())
-        return 0
-
-    if args.compare_schedulers:
-        report = compare_schedulers(runs=args.runs)
-        for name in ("heap", "wheel"):
-            rec = report["schedulers"][name]
-            print(
-                f"{name:>6}: median {rec['median_events_per_sec']:>10,.1f} ev/s "
-                f"({rec['median_wall_seconds']:.4f}s wall), "
-                f"events={rec['deterministic']['events']} "
-                f"sim={rec['deterministic']['sim_seconds']}s "
-                f"peak={rec['deterministic']['peak_queue_len']}"
-            )
-        print(f"wheel/heap ratio: {report['wheel_over_heap']:.3f}")
-        if args.out is not None:
-            args.out.write_text(
-                json.dumps(report, indent=1, sort_keys=True) + "\n"
-            )
-        problems = check_scheduler_parity(report, min_ratio=args.min_ratio)
-        if args.check and problems:
-            print("SCHEDULER PARITY FAILURES:")
-            for p in problems:
-                print(f"  - {p}")
-            return 1
-        if args.check:
-            print(
-                "Scheduler check: OK (fingerprints identical, ratio >= "
-                f"{args.min_ratio:.2f})"
-            )
-        elif problems:
-            for p in problems:
-                print(f"note: {p}")
         return 0
 
     if not args.scaling:

@@ -5,12 +5,12 @@ Two complementary views of where the engine spends its effort
 
 * **Event-class histogram** — a deterministic count of every event
   posted to the scheduler, keyed by the callback's qualified name.
-  :func:`capture_histograms` swaps profiling subclasses into the
-  scheduler registry for the duration of a ``with`` block, so any
-  simulator built inside (testbeds, experiments) is counted.  The
-  histogram depends only on the simulated schedule, never on wall
-  clock, so it is byte-identical across machines and across the wheel
-  and heap schedulers — it doubles as a cheap differential fingerprint.
+  :func:`capture_histograms` hooks counting wrappers onto
+  :class:`~repro.netsim.simulator.Simulator` for the duration of a
+  ``with`` block, so any simulator built inside (testbeds,
+  experiments) is counted.  The histogram depends only on the
+  simulated schedule, never on wall clock, so it is byte-identical
+  across machines — it doubles as a cheap behavioural fingerprint.
 
 * **Subsystem wall-clock breakdown** — a cProfile capture aggregated
   by source module into the subsystems named in the perf reports:
@@ -20,8 +20,9 @@ Two complementary views of where the engine spends its effort
   Wall-clock numbers are machine-dependent; only their *shape* is
   meaningful.
 
-:func:`profile_engine` runs the engine macro-benchmark under both and
-optionally writes the artifacts CI uploads: ``profile.pstats`` (raw,
+:func:`profile_engine` runs the engine macro-benchmark once for each,
+so the counting hooks never show up in the timing, and optionally
+writes the artifacts CI uploads: ``profile.pstats`` (raw,
 for ``pstats``/snakeviz), ``profile.txt`` (top functions), and
 ``event_histogram.json`` (deterministic).
 """
@@ -38,8 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
-from repro.netsim import simulator as _sim_mod
-from repro.netsim.simulator import HeapSimulator, WheelSimulator
+from repro.netsim.simulator import Simulator
 
 #: Module-prefix → subsystem, first match wins (most specific first).
 SUBSYSTEM_PREFIXES: tuple[tuple[str, str], ...] = (
@@ -91,75 +91,57 @@ def event_class(callback: Callable[..., Any]) -> str:
 
 # -- event-class histogram ---------------------------------------------------
 
-# Populated by capture_histograms() while active; profiling simulators
-# append themselves on construction so callers can read the counts even
-# though the testbeds never hand the simulator back.
-_capture_sink: Optional[list] = None
+#: The :class:`Simulator` inserts :func:`capture_histograms` counts.
+#: ``schedule`` delegates to ``schedule_at``, so it is counted there.
+_INSERTS = ("schedule_at", "post", "post_at")
 
 
-class _HistogramMixin:
-    """Counts every posted event by callback class.
+def _counting(insert):
+    """Wrap an insert so it bumps the simulator's event histogram.
 
     Counting happens at *post* time (one Counter bump per event), which
-    keeps the hot dispatch loops untouched and makes the histogram a
-    pure function of the simulated schedule — cancelled events are
-    counted too, deliberately: cancellation churn is exactly what the
-    histogram is there to expose.
+    keeps the dispatch loop untouched and makes the histogram a pure
+    function of the simulated schedule — cancelled events are counted
+    too, deliberately: cancellation churn is exactly what the histogram
+    is there to expose.  Simulators built outside the capture block
+    carry no histogram and are not counted.
     """
 
-    def __init__(self, seed: int = 0):
-        super().__init__(seed)
-        self.event_histogram: Counter = Counter()
-        if _capture_sink is not None:
-            _capture_sink.append(self)
+    def counted(self, when, callback, *args):
+        histogram = getattr(self, "event_histogram", None)
+        if histogram is not None:
+            histogram[event_class(callback)] += 1
+        return insert(self, when, callback, *args)
 
-    def schedule_at(self, time, callback, *args):
-        self.event_histogram[event_class(callback)] += 1
-        return super().schedule_at(time, callback, *args)
-
-    def post(self, delay, callback, *args):
-        self.event_histogram[event_class(callback)] += 1
-        super().post(delay, callback, *args)
-
-    def post_at(self, time, callback, *args):
-        self.event_histogram[event_class(callback)] += 1
-        super().post_at(time, callback, *args)
-
-
-class ProfilingHeapSimulator(_HistogramMixin, HeapSimulator):
-    pass
-
-
-class ProfilingWheelSimulator(_HistogramMixin, WheelSimulator):
-    pass
-
-
-_PROFILING_SCHEDULERS = {
-    "heap": ProfilingHeapSimulator,
-    "wheel": ProfilingWheelSimulator,
-}
+    return counted
 
 
 @contextmanager
 def capture_histograms() -> Iterator[list]:
-    """Swap profiling schedulers into the registry for the block.
+    """Count the events posted to every simulator built in the block.
 
     Yields a list that fills with every simulator constructed inside
     the block; read ``sim.event_histogram`` off each afterwards (or use
-    :func:`merged_histogram`).
+    :func:`merged_histogram`).  The hooks are patched onto
+    :class:`Simulator` and removed again on exit.
     """
-    global _capture_sink
-    saved_registry = dict(_sim_mod._SCHEDULERS)
-    saved_sink = _capture_sink
     sims: list = []
-    _sim_mod._SCHEDULERS.update(_PROFILING_SCHEDULERS)
-    _capture_sink = sims
+    saved = {name: vars(Simulator)[name] for name in ("__init__", *_INSERTS)}
+    init = saved["__init__"]
+
+    def __init__(self, seed: int = 0):
+        init(self, seed)
+        self.event_histogram = Counter()
+        sims.append(self)
+
+    Simulator.__init__ = __init__
+    for name in _INSERTS:
+        setattr(Simulator, name, _counting(saved[name]))
     try:
         yield sims
     finally:
-        _sim_mod._SCHEDULERS.clear()
-        _sim_mod._SCHEDULERS.update(saved_registry)
-        _capture_sink = saved_sink
+        for name, fn in saved.items():
+            setattr(Simulator, name, fn)
 
 
 def merged_histogram(sims: list) -> dict[str, int]:
@@ -194,7 +176,6 @@ def subsystem_breakdown(stats: pstats.Stats) -> dict[str, float]:
 class ProfileReport:
     """One profiled engine-benchmark run."""
 
-    scheduler: str
     wall_seconds: float
     events: int
     events_per_sec: float
@@ -204,7 +185,6 @@ class ProfileReport:
 
     def to_dict(self) -> dict:
         return {
-            "scheduler": self.scheduler,
             "wall_seconds": self.wall_seconds,
             "events": self.events,
             "events_per_sec": self.events_per_sec,
@@ -215,7 +195,7 @@ class ProfileReport:
 
     def render(self, top_classes: int = 12) -> str:
         lines = [
-            f"profile: scheduler={self.scheduler} wall={self.wall_seconds:.3f}s "
+            f"profile: wall={self.wall_seconds:.3f}s "
             f"events={self.events} ({self.events_per_sec:,.0f} ev/s)",
             "  time per subsystem (self-time, wall-clock — machine-dependent):",
         ]
@@ -238,30 +218,29 @@ def profile_engine(
     top: int = 40,
     **workload,
 ) -> ProfileReport:
-    """Profile one engine macro-benchmark run.
+    """Profile the engine macro-benchmark.
 
     Captures the deterministic event-class histogram and a cProfile
-    trace, aggregates the trace per subsystem, and (with ``out_dir``)
-    writes ``profile.pstats``, ``profile.txt`` and
+    trace in two separate runs, so the histogram's counting hooks are
+    not part of the profile; aggregates the trace per subsystem, and
+    (with ``out_dir``) writes ``profile.pstats``, ``profile.txt`` and
     ``event_histogram.json``.
     """
     import time as _time
 
     from repro.metrics.perf import run_engine_benchmark
-    from repro.netsim.simulator import scheduler_from_env
 
-    scheduler = scheduler_from_env()
-    profiler = cProfile.Profile()
     with capture_histograms() as sims:
-        start = _time.perf_counter()
-        profiler.enable()
-        result = run_engine_benchmark(**workload)
-        profiler.disable()
-        wall = _time.perf_counter() - start
+        run_engine_benchmark(**workload)
     histogram = merged_histogram(sims)
+    profiler = cProfile.Profile()
+    start = _time.perf_counter()
+    profiler.enable()
+    result = run_engine_benchmark(**workload)
+    profiler.disable()
+    wall = _time.perf_counter() - start
     stats = pstats.Stats(profiler)
     report = ProfileReport(
-        scheduler=scheduler,
         wall_seconds=round(wall, 4),
         events=result.events,
         events_per_sec=result.events_per_sec,

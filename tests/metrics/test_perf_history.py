@@ -1,5 +1,5 @@
-"""Benchmark trajectory (BENCH_HISTORY.json), scheduler parity gate,
-and the profiling subsystem (DESIGN.md §16)."""
+"""Benchmark trajectory (BENCH_HISTORY.json) and the profiling
+subsystem (DESIGN.md §16)."""
 
 from pathlib import Path
 
@@ -9,7 +9,6 @@ from repro.metrics.perf import (
     EnginePerfResult,
     baseline_records,
     check_regression,
-    check_scheduler_parity,
     load_baseline,
 )
 from repro.metrics.profiling import (
@@ -49,11 +48,6 @@ def _entry(events_per_sec, **overrides) -> dict:
 
 
 class TestHistorySchema:
-    def test_old_style_baseline_uses_after_for_both(self):
-        baseline = {"after": _entry(111_438.0)}
-        det, speed = baseline_records(baseline)
-        assert det is speed is baseline["after"]
-
     def test_history_gates_speed_against_best_entry(self):
         history = {
             "engine": {
@@ -98,42 +92,6 @@ class TestHistorySchema:
         ) == []
 
 
-class TestSchedulerParity:
-    def _report(self, heap_evs, wheel_evs, wheel_events=30894):
-        det = {
-            "completed": True,
-            "bytes_sent": 1048576,
-            "events": 30894,
-            "sim_seconds": 2.170283,
-            "peak_queue_len": 123,
-            "throughput_kB_per_s": 483.152,
-        }
-        wheel_det = dict(det, events=wheel_events)
-        return {
-            "workload": {},
-            "runs": 5,
-            "schedulers": {
-                "heap": {"deterministic": det, "median_events_per_sec": heap_evs},
-                "wheel": {
-                    "deterministic": wheel_det,
-                    "median_events_per_sec": wheel_evs,
-                },
-            },
-            "wheel_over_heap": round(wheel_evs / heap_evs, 3),
-        }
-
-    def test_fingerprint_divergence_fails(self):
-        problems = check_scheduler_parity(self._report(100.0, 100.0, wheel_events=7))
-        assert any("diverge" in p for p in problems)
-
-    def test_ratio_below_guard_fails(self):
-        problems = check_scheduler_parity(self._report(100.0, 70.0), min_ratio=0.85)
-        assert problems and "parity guard" in problems[0]
-
-    def test_parity_passes(self):
-        assert check_scheduler_parity(self._report(100.0, 97.0)) == []
-
-
 class TestProfiling:
     def test_subsystem_mapping(self):
         assert subsystem_for("repro.netsim.simulator") == "scheduler"
@@ -151,28 +109,26 @@ class TestProfiling:
 
         assert event_class(cb).endswith("test_event_class_labels.<locals>.cb")
 
-    def test_histogram_is_scheduler_independent(self, monkeypatch):
-        def run(scheduler):
-            monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
-            from repro.netsim.simulator import Simulator, Timer
+    def test_histogram_counts_every_posted_event(self):
+        from repro.netsim.simulator import Simulator, Timer
 
-            with capture_histograms() as sims:
-                sim = Simulator()
-                timer = Timer(sim, lambda: None)
-                timer.start(0.5)
-                for i in range(10):
-                    sim.schedule(0.1 * i, lambda: None)
-                    sim.post(0.05 * i, int)
-                handle = sim.schedule(3.0, lambda: None)
-                handle.cancel()
-                sim.run_until_idle()
-            return merged_histogram(sims)
-
-        wheel = run("wheel")
-        heap = run("heap")
-        assert wheel == heap
-        assert sum(wheel.values()) == 22  # 10+10 + timer + cancelled one
-        assert "builtins.int" in wheel
+        before = Simulator()
+        with capture_histograms() as sims:
+            sim = Simulator()
+            timer = Timer(sim, lambda: None)
+            timer.start(0.5)
+            for i in range(10):
+                sim.schedule(0.1 * i, lambda: None)
+                sim.post(0.05 * i, int)
+            handle = sim.schedule(3.0, lambda: None)
+            handle.cancel()
+            before.post(1.0, int)  # built outside the block: not counted
+            sim.run_until_idle()
+        histogram = merged_histogram(sims)
+        assert sims == [sim]
+        assert sum(histogram.values()) == 22  # 10+10 + timer + cancelled one
+        assert "builtins.int" in histogram
+        assert "event_histogram" not in vars(Simulator())  # hooks removed
 
     def test_profile_engine_writes_artifacts(self, tmp_path):
         from repro.metrics.profiling import profile_engine

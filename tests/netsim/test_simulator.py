@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.netsim import SimulationError, Simulator, Timer
@@ -205,6 +207,62 @@ def test_compaction_preserves_order_and_live_events():
     assert sim.pending_events == 20
     sim.run()
     assert order == list(range(0, 200, 10))
+
+
+def test_cancel_then_rearm_at_same_instant():
+    sim = Simulator()
+    fired = []
+    handle = sim.schedule(1.0, fired.append, "old")
+    handle.cancel()
+    sim.schedule(1.0, fired.append, "new")  # same instant, fresh seq
+    sim.run_until_idle()
+    assert fired == ["new"]
+    assert sim.pending_events == 0
+
+
+def test_far_future_events_fire_in_time_order():
+    sim = Simulator()
+    fired = []
+    far = 100_000_000.0
+    sim.schedule(far, fired.append, "far")
+    sim.schedule(0.001, fired.append, "near")
+    sim.schedule(far + 1.0, fired.append, "farther")
+    sim.post(far, fired.append, "far-post")  # same instant, later seq
+    sim.run_until_idle()
+    assert fired == ["near", "far", "far-post", "farther"]
+    assert sim.now == far + 1.0
+
+
+def test_infinite_deadline_parks_until_idle_drain():
+    sim = Simulator()
+    fired = []
+    sim.schedule(math.inf, fired.append, "inf-a")
+    sim.schedule(1.0, fired.append, "near")
+    sim.schedule(math.inf, fired.append, "inf-b")
+    sim.run(until=2.0)
+    assert fired == ["near"]
+    assert sim.pending_events == 2
+    sim.run_until_idle()
+    assert fired == ["near", "inf-a", "inf-b"]
+
+
+def test_same_instant_reentry_runs_before_time_advances():
+    """Events scheduled from a callback at zero delay run after the
+    events already queued for that instant, before time advances."""
+    sim = Simulator()
+    fired = []
+
+    def first():
+        fired.append("first")
+        sim.post(0.0, lambda: fired.append("chained"))
+        sim.schedule(0.0, lambda: fired.append("chained-handle"))
+
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, fired.append, "second")
+    sim.schedule(2.0, fired.append, "later")
+    sim.run_until_idle()
+    assert fired == ["first", "second", "chained", "chained-handle", "later"]
+    assert sim.now == 2.0
 
 
 class TestTimer:
