@@ -15,7 +15,7 @@ encapsulated IP-in-IP and tunnelled to the host server(s):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.netsim.addressing import IPAddress, as_address
 from repro.netsim.host import HostProfile, MODERN
@@ -29,6 +29,11 @@ from repro.netsim.tunnel import encapsulate
 #: Extra CPU per packet charged by the HydraNet-modified kernel on
 #: redirectors (redirector-table lookup on every forwarded packet).
 REDIRECTOR_SOFTWARE_OVERHEAD = 40e-6
+
+# Enum member lookups cost a descriptor call on Python 3.11; the data
+# path compares against these once per packet.
+_TCP = Protocol.TCP
+_UDP = Protocol.UDP
 
 
 @dataclass(frozen=True)
@@ -136,15 +141,20 @@ class Redirector(Router):
         super().__init__(sim, name, profile)
         self.kernel.software_overhead = software_overhead
         self.table: dict[ServiceKey, RedirectionEntry] = _RedirectorTable()
-        self.kernel.packet_hooks.append(self._fence_hook)
         self.kernel.packet_hooks.append(self._redirect_hook)
         self.packets_redirected = 0
         self.packets_multicast = 0
         self.segments_fenced = 0
-        #: Optional callback ``(segment_epoch, source_ip, entry)`` fired
+        #: Optional callback ``(segment_epoch, entry)`` fired
         #: for every fenced segment — the management daemon uses it to
         #: demote the stale transmitter and to record fencing metrics.
         self.on_fenced = None
+        #: Callbacks ``(packet, segment, entry)`` run for each segment of
+        #: fault-tolerant service output the fence let through; the
+        #: invariant monitors register here.
+        self.output_observers: list[
+            Callable[[IPPacket, TCPSegment, RedirectionEntry], None]
+        ] = []
 
     # -- table management (driven by the management daemon) -------------
 
@@ -203,62 +213,38 @@ class Redirector(Router):
 
     # -- the data path -----------------------------------------------------
 
-    @staticmethod
-    def _destination_port(packet: IPPacket) -> Optional[int]:
-        payload = packet.payload
-        if isinstance(payload, (TCPSegment, UDPDatagram)):
-            return payload.dst_port
-        return None
-
-    def _fence_hook(self, packet: IPPacket, nic: NIC) -> bool:
-        """Drop client-bound service output stamped with a stale epoch.
-
-        Every segment a replica emits towards a client carries the
-        service source address, so it crosses the redirector; a replica
-        still in primary mode for an epoch older than the table's (a
-        partitioned-but-alive ex-primary) is *fenced* here and can never
-        interleave bytes with the current primary (DESIGN.md §9).
-        """
-        if (
-            packet.protocol != Protocol.TCP
-            or packet.more_fragments
-            or packet.frag_offset
-        ):
-            # Replicas emit MTU-sized segments, so client-bound service
-            # output is never fragmented before the redirector.
-            return False
-        segment = packet.payload
-        if not isinstance(segment, TCPSegment) or segment.epoch is None:
-            return False
-        entry = self.table.fast.get((packet.src._value, segment.src_port))
-        if entry is None or not entry.fault_tolerant:
-            return False
-        if segment.epoch >= entry.epoch:
-            return False
-        self.segments_fenced += 1
-        trace(self.sim, self.name, "fence", packet)
-        invariants = self.sim.invariants
-        if invariants is not None:
-            invariants.on_fenced(segment.epoch, entry)
-        if self.on_fenced is not None:
-            self.on_fenced(segment.epoch, entry)
-        return True  # consumed: the stale segment goes no further
-
     def _redirect_hook(self, packet: IPPacket, nic: NIC) -> bool:
+        """The redirector's one packet hook (paper §4.2): classify the
+        packet once, then look it up at most twice in the table.
+
+        * By source: client-bound output of a fault-tolerant service
+          passes the epoch fence, and what the fence lets through goes
+          to each of :attr:`output_observers`.
+        * By destination: a packet for a replicated service is tunnelled
+          to one replica, or multicast to every replica of an FT service.
+        """
         protocol = packet.protocol
-        if protocol != Protocol.TCP and protocol != Protocol.UDP:
+        if protocol != _TCP and protocol != _UDP:
             return False
         if packet.more_fragments or packet.frag_offset:
             # Port information lives in the first fragment only; the
             # model never fragments before the redirector (end hosts
-            # send MTU-sized packets), so pass fragments through.
+            # and replicas send MTU-sized packets), so pass fragments
+            # through.
             return False
-        # _destination_port inlined (per-packet path).
         payload = packet.payload
-        if not isinstance(payload, (TCPSegment, UDPDatagram)):
+        fast = self.table.fast
+        if isinstance(payload, TCPSegment):
+            if protocol == _TCP:
+                entry = fast.get((packet.src._value, payload.src_port))
+                if entry is not None and entry.fault_tolerant:
+                    if self._fence_hook(packet, payload, entry):
+                        return True
+                    for observe in self.output_observers:
+                        observe(packet, payload, entry)
+        elif not isinstance(payload, UDPDatagram):
             return False
-        port = payload.dst_port
-        entry = self.table.fast.get((packet.dst._value, port))
+        entry = fast.get((packet.dst._value, payload.dst_port))
         if entry is None or not entry.replicas:
             return False
         if entry.fault_tolerant:
@@ -289,3 +275,28 @@ class Redirector(Router):
             outer = encapsulate(inner, source, target)
             self.kernel.send_ip(outer)
         return True
+
+    def _fence_hook(
+        self, packet: IPPacket, segment: TCPSegment, entry: RedirectionEntry
+    ) -> bool:
+        """Drop client-bound service output stamped with a stale epoch.
+
+        Every segment a replica emits towards a client carries the
+        service source address, so it crosses the redirector; a replica
+        still in primary mode for an epoch older than the table's (a
+        partitioned-but-alive ex-primary) is *fenced* here and can never
+        interleave bytes with the current primary (DESIGN.md §9).
+        ``entry`` is the fault-tolerant table entry of the segment's
+        source; returns True when the segment was consumed.
+        """
+        epoch = segment.epoch
+        if epoch is None or epoch >= entry.epoch:
+            return False
+        self.segments_fenced += 1
+        trace(self.sim, self.name, "fence", packet)
+        invariants = self.sim.invariants
+        if invariants is not None:
+            invariants.on_fenced(epoch, entry)
+        if self.on_fenced is not None:
+            self.on_fenced(epoch, entry)
+        return True  # consumed: the stale segment goes no further

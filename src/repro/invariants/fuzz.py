@@ -867,9 +867,11 @@ def _mutate_output_gate():
 def _mutate_fence():
     """Disable the redirector's epoch fence: a partitioned ex-primary's
     stale segments sail through towards the client — the SinglePrimary
-    monitor's past-the-fence check must fire."""
+    monitor's past-the-fence check must fire.  The redirector runs its
+    output observers after the fence declines, so the monitor still
+    sees every segment the disabled fence lets through."""
     original = Redirector._fence_hook
-    Redirector._fence_hook = lambda self, packet, nic: False
+    Redirector._fence_hook = lambda self, packet, segment, entry: False
     try:
         yield
     finally:

@@ -48,16 +48,6 @@ class InvariantViolationError(AssertionError):
     """Raised by :meth:`InvariantSet.check` when violations were seen."""
 
 
-def _client_key(state: "FtConnectionState") -> tuple:
-    conn = state.conn
-    return (
-        str(state.port.service_ip),
-        state.port.port,
-        str(conn.remote_ip),
-        conn.remote_port,
-    )
-
-
 class _Monitor:
     """Shared plumbing: monitors report through the owning set."""
 
@@ -99,7 +89,7 @@ class AtomicityMonitor(_Monitor):
             self.report(
                 f"deposited stream bytes [{start}, {end}) but the successor "
                 f"only reported {view.deposited_upto} deposited",
-                _client_key(state),
+                self.invset.client_key(state),
             )
 
     def on_client_segment(
@@ -120,7 +110,7 @@ class AtomicityMonitor(_Monitor):
             self.report(
                 f"ACKed client offset {acked} but the successor only "
                 f"reported {view.deposited_upto} deposited",
-                _client_key(state),
+                self.invset.client_key(state),
             )
 
 
@@ -146,7 +136,7 @@ class OutputOrderingMonitor(_Monitor):
             self.report(
                 f"sent response bytes [{start}, {end}) to the client but "
                 f"the successor only reported sequence {view.sent_upto}",
-                _client_key(state),
+                self.invset.client_key(state),
             )
 
     def on_unstamped_service_segment(self, packet: "IPPacket", segment: "TCPSegment") -> None:
@@ -217,7 +207,7 @@ class StreamIntegrityMonitor(_Monitor):
         self.lengths: dict[tuple, int] = {}
 
     def on_deposit(self, state: "FtConnectionState", start: int, data: bytes) -> None:
-        key = _client_key(state)
+        key = self.invset.client_key(state)
         canon = self.canonical.get(key)
         if canon is None:
             canon = self.canonical[key] = bytearray()
@@ -278,7 +268,7 @@ class ProgressTruthfulnessMonitor(_Monitor):
         self.deposited_end: dict[tuple, int] = {}
 
     def on_deposit(self, state: "FtConnectionState", start: int, data: bytes) -> None:
-        key = (_client_key(state), str(state.port.host_server.ip))
+        key = (self.invset.client_key(state), str(state.port.host_server.ip))
         end = start + len(data)
         if end > self.deposited_end.get(key, 0):
             self.deposited_end[key] = end
@@ -300,13 +290,13 @@ class ProgressTruthfulnessMonitor(_Monitor):
         if conn.irs is None or claimant is None or ack == 0:
             return  # ack=0 is the no-claim sentinel of ack-less segments
         claimed = seq_diff(ack, seq_add(conn.irs, 1))
-        key = (_client_key(state), str(claimant))
+        key = (self.invset.client_key(state), str(claimant))
         actual = self.deposited_end.get(key, 0)
         if claimed > actual + self.SLACK:
             self.report(
                 f"replica {claimant} claims {claimed} bytes "
                 f"deposited but has only deposited {actual}",
-                _client_key(state),
+                self.invset.client_key(state),
             )
 
 
@@ -367,7 +357,7 @@ class OutputLivenessMonitor(_Monitor):
                 f"{port.host_server.name} output blocked {stalled_for:.3f}s "
                 f"(bound {self.bound:.3f}s) on live successor "
                 f"{state.successor_ip}",
-                _client_key(state),
+                self.invset.client_key(state),
             )
 
 
@@ -389,15 +379,9 @@ class InvariantSet:
         #: (service_ip, port) -> the service's replica list (live view).
         self._services: dict[tuple, list] = {}
         #: FtConnectionState -> the monitors' own successor record.
-        self._successor: dict[int, _SuccessorView] = {}
-        self._states: dict[int, "FtConnectionState"] = {}
-        #: Set by :func:`attach_invariants` — the redirector table the
-        #: packet hook consults (single-redirector deployments).
-        self._redirector_table = None
-        #: id(redirector) -> installed hook, one per armed redirector
-        #: (mesh deployments arm every redirector; each hook closes
-        #: over its own table).
-        self._armed_redirectors: dict[int, Callable] = {}
+        self._successor: dict["FtConnectionState", _SuccessorView] = {}
+        #: FtConnectionState -> its :meth:`client_key`.
+        self._client_keys: dict["FtConnectionState", tuple] = {}
 
     # -- wiring ----------------------------------------------------------
 
@@ -408,11 +392,25 @@ class InvariantSet:
         return self._services.get((service_ip, port))
 
     def successor_view(self, state: "FtConnectionState") -> _SuccessorView:
-        view = self._successor.get(id(state))
+        view = self._successor.get(state)
         if view is None:
-            view = self._successor[id(state)] = _SuccessorView()
-            self._states[id(state)] = state  # keep the keyed object alive
+            view = self._successor[state] = _SuccessorView()
         return view
+
+    def client_key(self, state: "FtConnectionState") -> tuple:
+        """``(service ip, service port, client ip, client port)`` of the
+        connection ``state`` replicates, the key monitors report and
+        digest under; built once per state."""
+        key = self._client_keys.get(state)
+        if key is None:
+            port, conn = state.port, state.conn
+            key = self._client_keys[state] = (
+                str(port.service_ip),
+                port.port,
+                str(conn.remote_ip),
+                conn.remote_port,
+            )
+        return key
 
     # -- reporting ---------------------------------------------------------
 
@@ -491,23 +489,13 @@ class InvariantSet:
     def on_fenced(self, segment_epoch: int, entry) -> None:
         self.stats["segments_fenced"] += 1
 
-    def redirector_hook(self, packet: "IPPacket", nic) -> bool:
-        """Observe-only packet hook, inserted immediately *after* the
-        redirector's fence: any stale-epoch segment that reaches it
-        escaped the fence.  Always returns False (never consumes)."""
-        return self._observe_service_segment(packet, self._redirector_table)
-
-    def _observe_service_segment(self, packet: "IPPacket", table) -> bool:
-        from repro.netsim.packet import Protocol, TCPSegment
-
-        if packet.protocol != Protocol.TCP or packet.is_fragment:
-            return False
-        segment = packet.payload
-        if not isinstance(segment, TCPSegment):
-            return False
-        entry = table.fast.get((packet.src._value, segment.src_port))
-        if entry is None or not entry.fault_tolerant:
-            return False
+    def _observe_service_segment(
+        self, packet: "IPPacket", segment: "TCPSegment", entry
+    ) -> None:
+        """A redirector's output observer: ``segment`` is client-bound
+        output of the fault-tolerant service ``entry`` (that redirector's
+        own table row) which the epoch fence let through, so a stale
+        epoch here escaped the fence."""
         self.stats["service_output_segments"] += 1
         if segment.epoch is None:
             self.output_ordering.on_unstamped_service_segment(packet, segment)
@@ -515,28 +503,15 @@ class InvariantSet:
             self.single_primary.on_stale_segment_past_fence(
                 packet, segment, entry.epoch
             )
-        return False
 
     def arm_redirector(self, redirector) -> None:
-        """Splice an observe-only hook behind *this* redirector's fence.
-        Mesh deployments call this once per redirector: each hook
-        consults the table of the redirector it is installed on, so a
-        service's output is checked against the local epoch wherever it
-        crosses the mesh.  Idempotent per redirector."""
-        if id(redirector) in self._armed_redirectors:
-            return
-        table = redirector.table
-
-        def hook(packet, nic, _table=table):
-            return self._observe_service_segment(packet, _table)
-
-        self._armed_redirectors[id(redirector)] = hook
-        hooks = redirector.kernel.packet_hooks
-        try:
-            index = hooks.index(redirector._fence_hook) + 1
-        except ValueError:
-            index = len(hooks)
-        hooks.insert(index, hook)
+        """Observe the service output that crosses ``redirector``.
+        Mesh deployments call this once per redirector, so a service's
+        output is checked against the local epoch wherever it crosses
+        the mesh.  Idempotent per redirector."""
+        observers = redirector.output_observers
+        if self._observe_service_segment not in observers:
+            observers.append(self._observe_service_segment)
 
 
 def attach_invariants(
@@ -547,8 +522,9 @@ def attach_invariants(
     ``system`` is anything shaped like
     :class:`~repro.experiments.testbeds.FtSystem` (``sim``, ``service``,
     ``redirector``).  Sets ``sim.invariants``, watches the service's
-    replica list, and splices an observe-only packet hook into the
-    redirector right behind the epoch fence.  Idempotent per system.
+    replica list, and registers the monitors' output observer on the
+    redirector (:meth:`InvariantSet.arm_redirector`).  Idempotent per
+    system.
     """
     sim = system.sim
     invset = sim.invariants
@@ -556,15 +532,7 @@ def attach_invariants(
         invset = InvariantSet(sim, on_violation)
         sim.invariants = invset
     invset.watch_service(system.service)
-    redirector = system.redirector
-    invset._redirector_table = redirector.table
-    hooks = redirector.kernel.packet_hooks
-    if invset.redirector_hook not in hooks:
-        try:
-            index = hooks.index(redirector._fence_hook) + 1
-        except ValueError:
-            index = len(hooks)
-        hooks.insert(index, invset.redirector_hook)
+    invset.arm_redirector(system.redirector)
     return invset
 
 
@@ -574,9 +542,9 @@ def attach_mesh_invariants(
     services=(),
     on_violation: Optional[Callable[[Violation], None]] = None,
 ) -> InvariantSet:
-    """Arm the invariant monitors across a redirector mesh: one
-    observe-only hook per redirector (each consulting its own table)
-    and one replica-list watch per service.  Idempotent; safe to call
+    """Arm the invariant monitors across a redirector mesh: one output
+    observer per redirector (each seeing its own table's entries) and
+    one replica-list watch per service.  Idempotent; safe to call
     again as services are added."""
     invset = sim.invariants
     if invset is None:

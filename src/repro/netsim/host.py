@@ -101,19 +101,6 @@ class Kernel:
 
     # -- CPU model ---------------------------------------------------
 
-    def _cpu_delay(self, wire_size: int) -> float:
-        """Charge CPU for one packet; returns the completion delay."""
-        profile = self.host.profile
-        cost = (
-            profile.per_packet_cpu
-            + profile.per_byte_cpu * wire_size
-            + self.software_overhead
-        ) * self.host.cpu_multiplier
-        now = self.sim._now
-        start = now if now >= self._cpu_free_at else self._cpu_free_at
-        self._cpu_free_at = start + cost
-        return self._cpu_free_at - now
-
     def _charge_extra_fragments(self, n_extra: int) -> float:
         """Fragmentation costs per-fragment header processing beyond
         the per-packet charge already paid."""
@@ -181,8 +168,9 @@ class Kernel:
     def send_ip(self, packet: IPPacket) -> None:
         """Send a locally generated packet (charges CPU, then routes).
 
-        The CPU charge is ``_cpu_delay`` inlined — identical float
-        expression, one call fewer on the per-packet path.
+        Each packet handled costs the host's per-packet and per-byte CPU
+        plus ``software_overhead``, scaled by ``cpu_multiplier``; the
+        CPU is serial, so the packet waits for earlier work to finish.
         """
         host = self.host
         if host.crashed:
@@ -211,29 +199,37 @@ class Kernel:
         if value in self._nic_addrs.values or value in self.virtual_addresses.values:
             self.sim.post(0.0, self._deliver_local, packet)
             return
+        self._send_routed(packet)
+
+    def _send_routed(self, packet: IPPacket) -> bool:
+        """Route ``packet`` to its outgoing NIC and put it on the wire,
+        fragmenting it if it does not fit the NIC's MTU.  Returns False
+        when the packet was dropped (no route, or it cannot be
+        fragmented)."""
         # Inlined route-cache hit (route_lookup validates the same way).
-        nic = self._route_cache.get(value)
+        nic = self._route_cache.get(packet.dst._value)
         if nic is None or not nic.up:
             nic = self.route_lookup(packet.dst)
             if nic is None:
                 self.packets_dropped += 1
                 trace(self.sim, self.host.name, "no-route", packet)
-                return
+                return False
         if packet.wire_size <= nic.mtu:
             # fragment_packet's already-fits fast path, inlined.
             nic.send(packet)
-            return
+            return True
         try:
             fragments = fragment_packet(packet, nic.mtu)
         except Exception:
             self.packets_dropped += 1
             trace(self.sim, self.host.name, "frag-fail", packet)
-            return
+            return False
         if len(fragments) > 1:
             delay = self._charge_extra_fragments(len(fragments) - 1)
             self.sim.schedule(delay, self._send_all, fragments, nic)
         else:
             nic.send(fragments[0])
+        return True
 
     def _send_all(self, fragments: list[IPPacket], nic: NIC) -> None:
         if self.host.crashed:
@@ -244,7 +240,7 @@ class Kernel:
     # -- receive path ---------------------------------------------------
 
     def receive_from_nic(self, packet: IPPacket, nic: NIC) -> None:
-        # Same inlined CPU charge as send_ip.
+        # The same CPU charge as send_ip, then protocol processing.
         host = self.host
         if host.crashed:
             return
@@ -301,23 +297,8 @@ class Kernel:
             trace(self.sim, self.host.name, "ttl-expired", packet)
             return
         packet.ttl -= 1
-        nic = self.route_lookup(packet.dst)
-        if nic is None:
-            self.packets_dropped += 1
-            trace(self.sim, self.host.name, "no-route", packet)
-            return
-        try:
-            fragments = fragment_packet(packet, nic.mtu)
-        except Exception:
-            self.packets_dropped += 1
-            trace(self.sim, self.host.name, "frag-fail", packet)
-            return
-        self.packets_forwarded += 1
-        if len(fragments) > 1:
-            delay = self._charge_extra_fragments(len(fragments) - 1)
-            self.sim.schedule(delay, self._send_all, fragments, nic)
-        else:
-            nic.send(fragments[0])
+        if self._send_routed(packet):
+            self.packets_forwarded += 1
 
 
 class Host:

@@ -222,3 +222,155 @@ class TestRedirectorTableMirror:
         got_key, got_entry = table.popitem()
         assert (got_key, got_entry) == (k, e)
         assert table.fast == {}
+
+
+class TestDataPath:
+    """The one packet hook: the fence and the output observers on the
+    source lookup, redirection on the destination lookup."""
+
+    CLIENT_PORT = 40000
+
+    @staticmethod
+    def _segment_packet(src, dst, src_port, dst_port, epoch=None):
+        from repro.netsim import as_address
+        from repro.netsim.packet import IPPacket, Protocol, TCPFlags, TCPSegment
+
+        segment = TCPSegment(
+            src_port, dst_port, 1, 1, TCPFlags.ACK, 4096, b"x", epoch=epoch
+        )
+        return IPPacket(
+            src=as_address(src), dst=as_address(dst), protocol=Protocol.TCP,
+            payload=segment,
+        )
+
+    def _ft_service(self, hnet, epoch=2):
+        redirector = hnet.redirector
+        redirector.install_ft_primary(SERVICE, 80, hnet.hs_a.ip)
+        redirector.install_ft_backup(SERVICE, 80, hnet.hs_b.ip)
+        redirector.entry_for(SERVICE, 80).epoch = epoch
+        seen = []
+        redirector.output_observers.append(
+            lambda packet, segment, entry: seen.append((segment.epoch, entry.epoch))
+        )
+        return redirector, seen
+
+    def _output(self, hnet, epoch):
+        """Service output towards the client, stamped ``epoch``."""
+        return self._segment_packet(
+            SERVICE, hnet.client.ip, 80, self.CLIENT_PORT, epoch
+        )
+
+    def test_stale_epoch_is_fenced_and_never_observed(self, hnet_no_origin):
+        hnet = hnet_no_origin
+        redirector, seen = self._ft_service(hnet, epoch=2)
+        fenced = []
+        redirector.on_fenced = lambda epoch, entry: fenced.append(epoch)
+        packet = self._output(hnet, epoch=1)
+        assert redirector._redirect_hook(packet, redirector.interfaces[0])
+        assert redirector.segments_fenced == 1
+        assert fenced == [1]
+        assert seen == []
+
+    @pytest.mark.parametrize("epoch", [None, 2])
+    def test_unstamped_or_current_output_is_observed_once(self, hnet_no_origin, epoch):
+        hnet = hnet_no_origin
+        redirector, seen = self._ft_service(hnet, epoch=2)
+        packet = self._output(hnet, epoch)
+        # Not consumed: the kernel forwards it on to the client.
+        assert not redirector._redirect_hook(packet, redirector.interfaces[0])
+        assert seen == [(epoch, 2)]
+        assert redirector.segments_fenced == 0
+
+    @pytest.mark.parametrize("source", ["client", "scaling"])
+    def test_transit_packet_is_not_observed(self, hnet_no_origin, source):
+        hnet = hnet_no_origin
+        redirector, seen = self._ft_service(hnet)
+        if source == "client":
+            packet = self._segment_packet(
+                hnet.client.ip, hnet.hs_a.ip, self.CLIENT_PORT, 9, epoch=0
+            )
+        else:
+            redirector.install_scaling(SERVICE, 81, hnet.hs_a.ip)
+            packet = self._segment_packet(
+                SERVICE, hnet.client.ip, 81, self.CLIENT_PORT, epoch=0
+            )
+        assert not redirector._redirect_hook(packet, redirector.interfaces[0])
+        assert seen == []
+        assert redirector.segments_fenced == 0
+
+    @pytest.mark.parametrize("fault_tolerant", [True, False])
+    def test_client_segment_multicast_or_sent_to_one_replica(
+        self, hnet_no_origin, fault_tolerant
+    ):
+        hnet = hnet_no_origin
+        redirector = hnet.redirector
+        if fault_tolerant:
+            redirector.install_ft_primary(SERVICE, 80, hnet.hs_a.ip)
+            redirector.install_ft_backup(SERVICE, 80, hnet.hs_b.ip)
+        else:
+            redirector.install_scaling(SERVICE, 80, hnet.hs_a.ip)
+            redirector.install_scaling(SERVICE, 80, hnet.hs_b.ip)
+        sent = []
+        redirector.kernel.send_ip = sent.append
+        packet = self._segment_packet(hnet.client.ip, SERVICE, self.CLIENT_PORT, 80)
+        assert redirector._redirect_hook(packet, redirector.interfaces[0])
+        targets = [outer.dst for outer in sent]
+        if fault_tolerant:
+            assert targets == [hnet.hs_a.ip, hnet.hs_b.ip]
+            assert redirector.packets_multicast == 1
+        else:
+            assert targets == [hnet.hs_a.ip]
+            assert redirector.packets_multicast == 0
+        assert redirector.packets_redirected == 1
+        assert all(outer.payload.inner.payload is packet.payload for outer in sent)
+
+    def test_hook_appended_later_runs_after_the_redirector(self, hnet_no_origin):
+        hnet = hnet_no_origin
+        redirector = hnet.redirector
+        redirector.install_scaling(SERVICE, 80, hnet.hs_a.ip)
+        later = []
+        redirector.kernel.packet_hooks.append(lambda p, nic: later.append(p) or True)
+        assert redirector.kernel.packet_hooks[0] == redirector._redirect_hook
+        nic = redirector.interfaces[0]
+        transit = self._segment_packet(hnet.client.ip, hnet.hs_a.ip, self.CLIENT_PORT, 9)
+        redirected = self._segment_packet(hnet.client.ip, SERVICE, self.CLIENT_PORT, 80)
+        redirector.kernel._process(transit, nic)
+        redirector.kernel._process(redirected, nic)
+        assert later == [transit]
+        assert redirector.packets_redirected == 1
+
+    def test_mesh_observers_use_their_own_table(self):
+        from repro.invariants.monitors import attach_mesh_invariants
+        from repro.topo import compile_spec, hub_and_spoke
+
+        mesh = compile_spec(
+            hub_and_spoke(spokes=2, servers_per_spoke=2, clients_per_spoke=1,
+                          services=1, backups=1, seed=0)
+        )
+        invset = attach_mesh_invariants(mesh.sim, mesh.redirectors.values())
+        (service_ip, port), = mesh.service_points
+        client_ip = next(iter(mesh.clients.values())).ip
+        newer, older = (mesh.redirectors[n] for n in sorted(mesh.redirectors)[:2])
+        newer.entry_for(service_ip, port).epoch = 5
+        older.entry_for(service_ip, port).epoch = 3
+        seen = {}
+        for name, redirector in mesh.redirectors.items():
+            redirector.output_observers.append(
+                lambda packet, segment, entry, name=name: seen.setdefault(
+                    name, entry.epoch
+                )
+            )
+        packet = self._segment_packet(service_ip, client_ip, port, self.CLIENT_PORT, 4)
+        # Epoch 4 is stale at the redirector whose table says 5 ...
+        assert newer._redirect_hook(packet, newer.interfaces[0])
+        assert newer.segments_fenced == 1
+        # ... and current at the one whose table says 3.
+        assert not older._redirect_hook(packet, older.interfaces[0])
+        assert seen == {sorted(mesh.redirectors)[1]: 3}
+        assert invset.stats["service_output_segments"] == 1
+        assert invset.violations == []
+        # With the fence off, the first redirector's observer judges the
+        # segment by its own table's epoch 5, and reports it.
+        newer._fence_hook = lambda packet, segment, entry: False
+        newer._redirect_hook(packet, newer.interfaces[0])
+        assert invset.violated_monitors() == ["single-primary"]

@@ -13,6 +13,14 @@ from repro.invariants import (
 from repro.invariants.fuzz import ScenarioSpec, run_scenario
 
 
+class _FakeState(SimpleNamespace):
+    """Hashed and compared by identity, like FtConnectionState (the
+    monitors key their per-connection records by the state object)."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
 def _fake_state(name="hs_0", gated=True, client_port=40000):
     """A minimal stand-in for FtConnectionState, for direct-call units."""
     conn = SimpleNamespace(remote_ip="10.0.0.9", remote_port=client_port)
@@ -21,7 +29,7 @@ def _fake_state(name="hs_0", gated=True, client_port=40000):
         port=7,
         host_server=SimpleNamespace(name=name),
     )
-    return SimpleNamespace(conn=conn, port=port, gated=gated)
+    return _FakeState(conn=conn, port=port, gated=gated)
 
 
 @pytest.fixture()
@@ -230,17 +238,33 @@ class TestAttachedSystem:
 
     def test_attach_is_idempotent(self):
         from repro.invariants.fuzz import build_fuzz_system
+        from repro.netsim.packet import IPPacket, Protocol, TCPFlags, TCPSegment
 
         system = build_fuzz_system(ScenarioSpec(seed=1))
         first = attach_invariants(system)
         second = attach_invariants(system)
         assert first is second
-        hooks = system.redirector.kernel.packet_hooks
-        assert hooks.count(first.redirector_hook) == 1
-        # Spliced in right behind the epoch fence.
-        assert hooks.index(first.redirector_hook) == (
-            hooks.index(system.redirector._fence_hook) + 1
+        redirector = system.redirector
+        assert redirector.output_observers == [first._observe_service_segment]
+        assert redirector.kernel.packet_hooks == [redirector._redirect_hook]
+        # The fence decides before the observer runs: a stale segment is
+        # fenced and never reaches the monitors as escaped output.
+        service = system.service
+        entry = redirector.entry_for(service.service_ip, service.port)
+        entry.epoch = 3
+        stale = IPPacket(
+            src=entry.key.ip,
+            dst=system.client.ip,
+            protocol=Protocol.TCP,
+            payload=TCPSegment(
+                service.port, 40000, 1, 1, TCPFlags.ACK, 4096, b"x", epoch=2
+            ),
         )
+        assert redirector._redirect_hook(stale, redirector.interfaces[0])
+        assert redirector.segments_fenced == 1
+        assert first.stats["segments_fenced"] == 1
+        assert first.stats["service_output_segments"] == 0
+        assert first.violations == []
 
     def test_detached_by_default(self):
         from repro.invariants.fuzz import build_fuzz_system
