@@ -37,14 +37,13 @@ def main() -> int:
     print("  python -m repro fuzz --runs N --seed S fuzz fault schedules w/ monitors")
     print("  python -m repro fuzz --replay FILE     replay a saved reproducer")
     print("  python -m repro fuzz --backend all     fuzz every replication backend")
-    print("  python -m repro perf [--check]         engine benchmark vs best committed baseline")
-    print("  python -m repro perf --profile [DIR]   event histogram + cProfile breakdown")
-    print("  python -m repro perf --scaling         scenario-throughput scaling sweep")
+    print("  python -m repro perf [--check]         process-pool scaling sweep")
     print("  python -m repro mesh [--fast|--certify] datacenter-mesh scaling sweep (D5)")
     print("  python -m repro.experiments.figure4    just the paper's Figure 4")
     print("  python -m repro.experiments.recovery   D3 autonomous recovery demo")
     print("  pytest tests/                          the test suite")
-    print("  pytest benchmarks/ --benchmark-only    benchmark harness")
+    print("  pytest benchmarks/ --benchmark-only    experiment benchmark harness")
+    print("  python3 perfbench/run.py --workload W  simulation-speed benchmark")
     return 0
 
 

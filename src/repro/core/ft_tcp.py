@@ -153,6 +153,10 @@ class FtConnectionState:
         self._pending_raw: list[AckChannelMessage] = []
         #: Client stream retained for live joins (recovery subsystem).
         self.catchup_log = CatchupLog(port.catchup_log_limit)
+        #: Output fence: the ``(sent, deposited)`` watermarks this
+        #: replica reached while it ran ungated, armed when it starts
+        #: gating as primary (see :meth:`arm_output_fence`).
+        self.output_fence: Optional[tuple[int, int]] = None
         #: Strategy-private per-connection state (DESIGN.md §15) —
         #: ``None`` for backends that keep everything in the effective
         #: watermark fields above.
@@ -189,6 +193,29 @@ class FtConnectionState:
         )
         self.last_report_sent = port.sim.now
         port.ack_endpoint.send(message, port.predecessor_ip)
+
+    def arm_output_fence(self) -> None:
+        """Hold client-visible output until the successor watermarks
+        cover what this replica reached while it ran ungated.
+
+        A primary that starts gating mid-connection (a promoted star
+        backup, or any primary a live joiner is spliced behind) has
+        acknowledgement state that can lead its successors' claims by
+        whatever is still in flight to them; externalizing it would let
+        the client discard bytes a successor still lacks."""
+        conn = self.conn
+        self.output_fence = (conn.snd_nxt, conn.reassembler.take_point)
+
+    def output_fenced(self) -> bool:
+        """True while the output fence holds (lifts it once covered)."""
+        fence = self.output_fence
+        if not self.gated or (
+            self.successor_sent_upto >= fence[0]
+            and self.successor_deposited_upto >= fence[1]
+        ):
+            self.output_fence = None
+            return False
+        return True
 
     # -- gates installed into the TCB ---------------------------------
     # These remain the TCB's (and the mutation harness's) entry points;
@@ -477,7 +504,7 @@ class FtPort:
         if self.shut_down:
             return True  # a removed replica is silent
         if self.is_primary:
-            if self.strategy.suppress_primary_output(state, segment):
+            if state.output_fence is not None and state.output_fenced():
                 return True
             # The primary talks to the client normally, stamping its
             # view epoch so the redirector can fence stale output.

@@ -2,13 +2,6 @@
 
 from .connstats import ConnectionReport, report_for
 from .fencing import EpochChange, FencingMetrics, primary_overlap
-from .perf import (
-    EnginePerfResult,
-    check_regression,
-    load_baseline,
-    run_engine_benchmark,
-    write_report,
-)
 from .recovery import DegreeTimeline, RecoveryIncident, summarize_incidents
 from .stats import Summary, ThroughputMeter, percentile
 from .tables import Table, format_comparison
@@ -20,11 +13,6 @@ __all__ = [
     "EpochChange",
     "FencingMetrics",
     "primary_overlap",
-    "EnginePerfResult",
-    "check_regression",
-    "load_baseline",
-    "run_engine_benchmark",
-    "write_report",
     "DegreeTimeline",
     "RecoveryIncident",
     "summarize_incidents",

@@ -109,17 +109,6 @@ class ReplicationStrategy:
         watermarks of ``state``."""
         raise NotImplementedError
 
-    def suppress_primary_output(
-        self, state: "FtConnectionState", segment: "TCPSegment"
-    ) -> bool:
-        """Return True to hold back a *primary's* client-visible
-        segment.  The chain never needs this (a promoted replica's TCP
-        state was gated on its successor all along); star backends use
-        it as a promotion fence — an ungated ex-backup's acknowledgement
-        state may lead the member claims, and externalizing it would let
-        the client discard bytes a member still lacks."""
-        return False
-
     # -- suspicion ---------------------------------------------------------
 
     def quiet_successor(self) -> Optional["IPAddress"]:

@@ -49,18 +49,12 @@ class _MemberView:
 class _BroadcastConnState:
     """Per-connection member views (stored as ``state.repl``)."""
 
-    __slots__ = ("views", "pending", "fence")
+    __slots__ = ("views", "pending")
 
     def __init__(self):
         self.views: dict["IPAddress", _MemberView] = {}
         # Reports that arrived before the handshake fixed IRS.
         self.pending: list[tuple[AckChannelMessage, "IPAddress"]] = []
-        # Promotion fence: ``(sent, deposited)`` watermarks this
-        # replica had already reached — ungated — when it became
-        # primary.  Client-visible output stays suppressed until the
-        # member-wise minimum claims cover both (see
-        # ``suppress_primary_output``).
-        self.fence: Optional[tuple[int, int]] = None
 
 
 @register_strategy
@@ -127,33 +121,6 @@ class BroadcastStrategy(ReplicationStrategy):
         if port.predecessor_ip is not None:
             state.last_report_sent = port.sim.now
             port.ack_endpoint.send(message, port.predecessor_ip)
-        return True
-
-    def suppress_primary_output(
-        self, state: "FtConnectionState", segment: "TCPSegment"
-    ) -> bool:
-        # Promotion fence.  A star backup deposits ungated, so at
-        # promotion its TCP acknowledgement state can lead every
-        # member's claims: the first retransmitted segment would tell
-        # the client to discard bytes a surviving member has not
-        # confirmed yet.  Everything the client *already* discarded was
-        # min-gated by the old primary (every member claimed it), so
-        # the members converge to the fence purely through the client's
-        # own retransmissions — the fence is a bounded stall, not a
-        # deadlock.
-        blob = state.repl
-        fence = blob.fence
-        if fence is None:
-            return False
-        if not state.gated or not blob.views:
-            blob.fence = None
-            return False
-        if (
-            state.successor_sent_upto >= fence[0]
-            and state.successor_deposited_upto >= fence[1]
-        ):
-            blob.fence = None
-            return False
         return True
 
     def on_report(
@@ -294,12 +261,8 @@ class BroadcastStrategy(ReplicationStrategy):
             view.last_msg = self.port.sim.now
         if not was_gated and self.port.is_primary:
             # In the star layout the spliced port is the (client-
-            # visible) primary.  If it ran ungated until now, its
-            # acknowledgements lead the joiner's catch-up cut by
-            # whatever deltas are still in flight — fence output until
-            # the joiner's claims cover the pre-splice watermarks.
-            conn = state.conn
-            blob.fence = (conn.snd_nxt, conn.reassembler.take_point)
+            # visible) primary; if it ran ungated until now, fence it.
+            state.arm_output_fence()
         self._refresh(state)
 
     def on_enter_primary(self) -> None:
@@ -324,8 +287,11 @@ class BroadcastStrategy(ReplicationStrategy):
                 del blob.views[ip]
             state.gated = bool(blob.views)
             if state.gated:
-                # Arm the promotion fence at the watermarks this
-                # replica already reached while depositing ungated.
-                conn = state.conn
-                blob.fence = (conn.snd_nxt, conn.reassembler.take_point)
+                # Promotion fence: a star backup deposited ungated, so
+                # its acknowledgement state can lead every member's
+                # claims.  Everything the client already discarded was
+                # min-gated by the old primary, so the members converge
+                # to the fence through the client's own retransmissions
+                # — a bounded stall, not a deadlock.
+                state.arm_output_fence()
             self._refresh(state)

@@ -114,6 +114,10 @@ class ChainStrategy(ReplicationStrategy):
                 state.gated = False
 
     def splice_gate(self, state: "FtConnectionState", joiner_ip: "IPAddress") -> None:
+        if not state.gated and self.port.is_primary:
+            # A lone primary (its backup crashed, or it was promoted
+            # from the tail) ran ungated until now: fence it.
+            state.arm_output_fence()
         state.gated = True
         state.successor_ip = joiner_ip
         # Not silence — the splice just happened; give the joiner a

@@ -375,10 +375,10 @@ class ScenarioPool:
         """How many tasks to hand out per pipe round-trip.
 
         When the batch is much larger than the worker count, per-task
-        round-trips dominate small tasks (the first ``scaling`` entry of
-        BENCH_HISTORY.json measured jobs>1 at 0.84–0.91x of serial for
-        50 tiny scenarios on one core).  Chunks amortize
-        that, but shrink toward 1 as the queue drains so the tail still
+        round-trips dominate small tasks (before chunking, the scaling
+        sweep measured jobs>1 at 0.84–0.91x of serial for 50 tiny
+        scenarios on one core; DESIGN.md §12).  Chunks amortize that,
+        but shrink toward 1 as the queue drains so the tail still
         load-balances longest-job-first.
         """
         return max(1, min(8, remaining // (self.jobs * 4)))

@@ -7,8 +7,13 @@ promoted, the spare auto-joined as the new last backup, the in-flight
 byte stream intact at the client, and the chain back at full degree.
 """
 
-from repro.core import DetectorParams
+import pytest
+
+from repro.apps.echo import echo_server_factory
+from repro.core import DetectorParams, enable_heartbeats
 from repro.experiments.testbeds import build_ft_system
+from repro.faults.injection import FaultPlan
+from repro.invariants.monitors import attach_invariants
 from repro.recovery import RecoveryManager, SparePool
 
 PORT = 5001
@@ -123,3 +128,46 @@ def test_crash_restore_crash_again():
     ]
     assert bytes(received) == bytes(sent)
     assert manager.timeline.degree_at(system.sim.now) == 2
+
+
+@pytest.mark.parametrize("crash_at", [4.3, 6.0])
+def test_join_after_primary_crash_keeps_atomicity(crash_at):
+    """A spare live-joined behind the promoted backup, which ran alone
+    (ungated) until the splice.  Its acknowledgement state leads the
+    joiner's catch-up cut by the deltas still in flight, so its client
+    output is fenced until the joiner's reports cover it — otherwise
+    it ACKs client bytes the joiner has not yet deposited."""
+    system = build_ft_system(
+        seed=0,
+        n_backups=1,
+        n_spares=1,
+        detector=DetectorParams(threshold=3, cooldown=1.0),
+        factory=echo_server_factory,
+        port=PORT,
+    )
+    manager = RecoveryManager(
+        system.service, system.redirector_daemon, SparePool(system.spare_nodes)
+    )
+    enable_heartbeats(
+        system.redirector_daemon, system.nodes, system.service_ip, PORT
+    )
+    invset = attach_invariants(system)
+    sim = system.sim
+    conn = system.client_node.connect(system.service_ip, PORT)
+    sent, received = bytearray(), bytearray()
+    conn.on_data = received.extend
+
+    def pace():
+        if sim.now >= 12.0:
+            return
+        data = bytes([len(sent) // 400 % 256]) * 400
+        sent.extend(data[: conn.send(data)])
+        sim.schedule(0.05, pace)
+
+    sim.schedule(0.5, pace)
+    FaultPlan(sim).crash_at(system.servers[0], crash_at)
+    system.run_until(20.0)
+
+    assert invset.violations == []
+    assert len(sent) > 0 and bytes(received) == bytes(sent)
+    assert manager.joins_completed == 1

@@ -9,7 +9,10 @@ wheel was removed, and the two engines agreed on all of them:
 * a randomized schedule/cancel/re-arm churn trace, pinned per seed by
   the sha256 of the trace;
 * a Figure 4 point, the D4 ``symmetric`` partition run and the D5
-  certify topology at 600 connections.
+  certify topology at 600 connections;
+* the 1 MB bulk ft-TCP transfer through a primary + 2-backup chain
+  (the workload of the retired engine macro-benchmark, recorded under
+  the heap engine only).
 
 The fuzz corpus pins its own ``clean_fingerprint`` values
 (``tests/invariants/test_corpus_replay.py``).
@@ -120,6 +123,15 @@ MESH_600_FINGERPRINT = (
     "26e93704bc1580194aac90dc156ac4bc1fc27a06d77c1df6a171ad77a3126149"
 )
 
+ENGINE_1MB = {
+    "completed": True,
+    "bytes_sent": 1_048_576,
+    "events": 30_894,
+    "duration": 2.170283,
+    "peak_queue_len": 123,
+    "throughput_kB_per_sec": 483.152,
+}
+
 
 @pytest.mark.integration
 def test_figure4_point_matches_golden():
@@ -157,3 +169,22 @@ def test_mesh_certify_600_connections_matches_golden():
     assert (report.completed, report.peak_concurrent) == (600, 600)
     assert report.events_processed == 318_830
     assert report.fingerprint == MESH_600_FINGERPRINT
+
+
+@pytest.mark.integration
+def test_bulk_transfer_2_backups_matches_golden():
+    """1 MB of ttcp in 1 KB writes through the redirector to a
+    primary + 2-backup chain."""
+    from repro.experiments.testbeds import build_primary_backup
+
+    run = build_primary_backup(seed=0, n_backups=2)
+    events_before = run.sim.events_processed
+    result = run.run(buflen=1024, nbuf=1024)
+    assert {
+        "completed": result.completed,
+        "bytes_sent": result.bytes_sent,
+        "events": run.sim.events_processed - events_before,
+        "duration": round(result.duration, 6),
+        "peak_queue_len": run.sim.peak_queue_len,
+        "throughput_kB_per_sec": round(result.throughput_kB_per_sec, 3),
+    } == ENGINE_1MB
